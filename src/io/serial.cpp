@@ -13,30 +13,56 @@ namespace {
 constexpr std::uint64_t kMaxStringLen = 1u << 20;       // 1 MiB
 constexpr std::uint64_t kMaxElementCount = 1u << 28;    // 256M doubles
 
-/// CRC-32 (IEEE, reflected polynomial 0xEDB88320) lookup table, built once.
-const std::array<std::uint32_t, 256>& crc32_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+/// CRC-32 (IEEE, reflected polynomial 0xEDB88320) slicing-by-8 tables,
+/// built once: table[0] is the classic byte-at-a-time table, table[k]
+/// carries a byte's contribution past k further bytes.
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const Crc32Tables& crc32_tables() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < t.size(); ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
+}
+
+[[nodiscard]] std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
+// Eight bytes per step: the step's eight table lookups are independent,
+// so they overlap instead of forming one byte-long dependency chain each.
+// The checksum is the byte-at-a-time one.
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
-  const auto& table = crc32_table();
+  const auto& t = crc32_tables();
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, bytes += 8) {
+    const std::uint32_t lo = load_le32(bytes) ^ c;
+    const std::uint32_t hi = load_le32(bytes + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++bytes) {
+    c = t[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -56,25 +82,29 @@ std::string artifact_kind_name(ArtifactKind kind) {
 
 BinaryWriter::BinaryWriter() : path_("<memory>") {}
 
+BinaryWriter::BinaryWriter(std::vector<std::uint8_t>& sink)
+    : path_("<memory>"), sink_(&sink) {}
+
 BinaryWriter::BinaryWriter(const std::string& path)
-    : path_(path), to_file_(true),
-      out_(path, std::ios::binary | std::ios::trunc) {
-  if (!out_) {
+    : path_(path),
+      out_(std::in_place, path, std::ios::binary | std::ios::trunc) {
+  if (!*out_) {
     throw IoError("cannot open '" + path + "' for writing");
   }
 }
 
 void BinaryWriter::raw(const void* data, std::size_t n) {
-  if (to_file_) {
-    out_.write(static_cast<const char*>(data),
-               static_cast<std::streamsize>(n));
-    if (!out_) {
+  if (out_) {
+    out_->write(static_cast<const char*>(data),
+                static_cast<std::streamsize>(n));
+    if (!*out_) {
       throw IoError("write failure on '" + path_ + "'");
     }
     return;
   }
+  std::vector<std::uint8_t>& dst = sink_ != nullptr ? *sink_ : buf_;
   const auto* bytes = static_cast<const std::uint8_t*>(data);
-  buf_.insert(buf_.end(), bytes, bytes + n);
+  dst.insert(dst.end(), bytes, bytes + n);
 }
 
 void BinaryWriter::u8(std::uint8_t v) { raw(&v, sizeof v); }
@@ -103,9 +133,9 @@ void BinaryWriter::map_f64(const std::map<std::string, double>& m) {
 }
 
 void BinaryWriter::finish() {
-  if (!to_file_) return;
-  out_.flush();
-  if (!out_) {
+  if (!out_) return;
+  out_->flush();
+  if (!*out_) {
     throw IoError("flush failure on '" + path_ + "'");
   }
 }
@@ -113,14 +143,14 @@ void BinaryWriter::finish() {
 // ---- BinaryReader ----------------------------------------------------------
 
 BinaryReader::BinaryReader(const std::string& path)
-    : path_(path), from_file_(true), in_(path, std::ios::binary) {
-  if (!in_) {
+    : path_(path), in_(std::in_place, path, std::ios::binary) {
+  if (!*in_) {
     throw IoError("cannot open '" + path + "' for reading");
   }
-  in_.seekg(0, std::ios::end);
-  const auto end = in_.tellg();
-  in_.seekg(0, std::ios::beg);
-  if (end < 0 || !in_) {
+  in_->seekg(0, std::ios::end);
+  const auto end = in_->tellg();
+  in_->seekg(0, std::ios::beg);
+  if (end < 0 || !*in_) {
     throw IoError("cannot determine size of '" + path + "'");
   }
   size_ = static_cast<std::uint64_t>(end);
@@ -131,9 +161,9 @@ BinaryReader::BinaryReader(std::span<const std::uint8_t> data,
     : path_(std::move(name)), view_(data), size_(data.size()) {}
 
 void BinaryReader::raw(void* data, std::size_t n) {
-  if (from_file_) {
-    in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
-    if (in_.gcount() != static_cast<std::streamsize>(n)) {
+  if (in_) {
+    in_->read(static_cast<char*>(data), static_cast<std::streamsize>(n));
+    if (in_->gcount() != static_cast<std::streamsize>(n)) {
       throw IoError("truncated artifact: unexpected end of file in '" +
                     path_ + "'");
     }

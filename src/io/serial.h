@@ -6,14 +6,17 @@
 // in-memory buffer — the bounds-checked read helpers (count(), str(),
 // vec_f64()) are ONE hardened implementation, so a hostile length field
 // is rejected identically whether it arrives in an artifact file or in a
-// socket frame. Every artifact file starts with a common header (magic,
-// format version, artifact kind) so loads fail fast with a clear error
-// instead of misinterpreting bytes.
+// socket frame. Only file mode holds a stream: memory-mode writers and
+// readers are a vector (or a caller's buffer) and a cursor, cheap enough
+// to build per wire frame and per listfile record. Every artifact file
+// starts with a common header (magic, format version, artifact kind) so
+// loads fail fast with a clear error instead of misinterpreting bytes.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -54,9 +57,12 @@ enum class ArtifactKind : std::uint32_t {
 class BinaryWriter {
  public:
   /// Memory-backed writer: bytes accumulate in an internal buffer
-  /// retrievable via bytes()/take() — used for wire-frame payloads and
-  /// listfile records.
+  /// retrievable via take().
   BinaryWriter();
+  /// Memory-backed writer appending to the caller's `sink` (a connection's
+  /// output buffer, a reused record buffer), which must outlive it.
+  /// take() does not apply; read the sink instead.
+  explicit BinaryWriter(std::vector<std::uint8_t>& sink);
   /// File-backed writer streaming straight to `path`.
   explicit BinaryWriter(const std::string& path);
 
@@ -74,10 +80,6 @@ class BinaryWriter {
   /// No-op for memory-backed writers.
   void finish();
 
-  /// Bytes written so far (memory-backed writers only).
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
-    return buf_;
-  }
   /// Move the accumulated buffer out (memory-backed writers only).
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
 
@@ -87,9 +89,9 @@ class BinaryWriter {
   void raw(const void* data, std::size_t n);
 
   std::string path_;
-  bool to_file_ = false;
-  std::ofstream out_;               ///< file mode
-  std::vector<std::uint8_t> buf_;  ///< memory mode
+  std::optional<std::ofstream> out_;        ///< file mode only
+  std::vector<std::uint8_t> buf_;           ///< memory mode, owned
+  std::vector<std::uint8_t>* sink_ = nullptr;  ///< caller's buffer, if any
 };
 
 class BinaryReader {
@@ -132,8 +134,7 @@ class BinaryReader {
   void raw(void* data, std::size_t n);
 
   std::string path_;
-  bool from_file_ = false;
-  std::ifstream in_;                      ///< file mode
+  std::optional<std::ifstream> in_;       ///< file mode only
   std::span<const std::uint8_t> view_;    ///< memory mode
   std::uint64_t size_ = 0;        ///< total input size in bytes
   std::uint64_t consumed_ = 0;    ///< bytes read so far

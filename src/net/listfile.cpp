@@ -10,24 +10,8 @@ namespace aps::net {
 
 namespace {
 
-void write_record_header(std::ofstream& out, const std::string& path,
-                         RecordKind kind,
-                         const std::vector<std::uint8_t>& payload) {
-  const auto kind_byte = static_cast<std::uint8_t>(kind);
-  std::uint32_t crc = aps::io::crc32(&kind_byte, 1);
-  crc = aps::io::crc32(payload.data(), payload.size(), crc);
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  out.put(static_cast<char>(kind_byte));
-  out.write(reinterpret_cast<const char*>(&len), sizeof len);
-  out.write(reinterpret_cast<const char*>(&crc), sizeof crc);
-  if (!payload.empty()) {
-    out.write(reinterpret_cast<const char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
-  }
-  if (!out) {
-    throw aps::io::IoError("write failure on listfile '" + path + "'");
-  }
-}
+/// Record header: u8 kind | u32 payload_len | u32 crc.
+constexpr std::size_t kRecordHeaderSize = 1 + 2 * sizeof(std::uint32_t);
 
 }  // namespace
 
@@ -56,14 +40,29 @@ ListfileWriter::~ListfileWriter() {
   }
 }
 
-void ListfileWriter::append(RecordKind kind,
-                            aps::io::BinaryWriter&& payload) {
+aps::io::BinaryWriter ListfileWriter::begin_record() {
   if (finished_) {
     throw aps::io::IoError("listfile '" + path_ +
                            "' already finished, cannot append");
   }
-  const std::vector<std::uint8_t> bytes = payload.take();
-  write_record_header(out_, path_, kind, bytes);
+  record_.assign(kRecordHeaderSize, 0);
+  return aps::io::BinaryWriter(record_);
+}
+
+void ListfileWriter::commit_record(RecordKind kind) {
+  const auto kind_byte = static_cast<std::uint8_t>(kind);
+  const auto len =
+      static_cast<std::uint32_t>(record_.size() - kRecordHeaderSize);
+  std::uint32_t crc = aps::io::crc32(&kind_byte, 1);
+  crc = aps::io::crc32(record_.data() + kRecordHeaderSize, len, crc);
+  record_[0] = kind_byte;
+  std::memcpy(record_.data() + 1, &len, sizeof len);
+  std::memcpy(record_.data() + 1 + sizeof len, &crc, sizeof crc);
+  out_.write(reinterpret_cast<const char*>(record_.data()),
+             static_cast<std::streamsize>(record_.size()));
+  if (!out_) {
+    throw aps::io::IoError("write failure on listfile '" + path_ + "'");
+  }
   if (kind == RecordKind::kSync) return;
   ++records_;
   if (++since_sync_ >= kSyncInterval) {
@@ -72,9 +71,8 @@ void ListfileWriter::append(RecordKind kind,
 }
 
 void ListfileWriter::write_sync() {
-  aps::io::BinaryWriter payload;
-  payload.u64(records_);
-  append(RecordKind::kSync, std::move(payload));
+  begin_record().u64(records_);
+  commit_record(RecordKind::kSync);
   since_sync_ = 0;
   // Durability point: everything up to this sync reaches the OS now, so
   // a recorder killed mid-record (no destructor, no finish()) still
@@ -87,34 +85,33 @@ void ListfileWriter::write_sync() {
 }
 
 void ListfileWriter::record_open(const OpenRecord& record) {
-  aps::io::BinaryWriter payload;
+  auto payload = begin_record();
   payload.u64(record.key);
   payload.str(record.patient_id);
   payload.str(record.monitor);
   payload.i32(record.patient_index);
-  append(RecordKind::kOpen, std::move(payload));
+  commit_record(RecordKind::kOpen);
 }
 
 void ListfileWriter::record_tick(const TickRecord& record) {
-  aps::io::BinaryWriter payload;
+  auto payload = begin_record();
   payload.u64(record.key);
   payload.u64(record.seq);
   write_observation(payload, record.obs);
-  append(RecordKind::kTick, std::move(payload));
+  commit_record(RecordKind::kTick);
 }
 
 void ListfileWriter::record_decision(const DecisionRecord& record) {
-  aps::io::BinaryWriter payload;
+  auto payload = begin_record();
   payload.u64(record.key);
   payload.u64(record.seq);
   write_decision(payload, record.decision);
-  append(RecordKind::kDecision, std::move(payload));
+  commit_record(RecordKind::kDecision);
 }
 
 void ListfileWriter::record_close(const CloseRecord& record) {
-  aps::io::BinaryWriter payload;
-  payload.u64(record.key);
-  append(RecordKind::kClose, std::move(payload));
+  begin_record().u64(record.key);
+  commit_record(RecordKind::kClose);
 }
 
 void ListfileWriter::finish() {
@@ -155,7 +152,7 @@ std::optional<ListfileRecord> ListfileReader::next() {
   // are a clean stop in tolerant mode. Everything else (unknown kind,
   // hostile length, CRC mismatch on a COMPLETE record) cannot be produced
   // by truncation and always throws.
-  if (in_.remaining() < 1 + sizeof(std::uint32_t) * 2) {
+  if (in_.remaining() < kRecordHeaderSize) {
     if (tolerate_truncation_) {
       truncated_ = true;
       return std::nullopt;

@@ -110,11 +110,16 @@ class ListfileWriter {
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
-  void append(RecordKind kind, aps::io::BinaryWriter&& payload);
+  /// Start a record in the reused record buffer; the returned writer
+  /// appends its payload after the header space.
+  [[nodiscard]] aps::io::BinaryWriter begin_record();
+  /// Fill in the header of the record begun last and write it out.
+  void commit_record(RecordKind kind);
   void write_sync();
 
   std::string path_;
   std::ofstream out_;
+  std::vector<std::uint8_t> record_;  ///< header + payload, reused
   std::uint64_t records_ = 0;        ///< payload records (syncs excluded)
   std::uint64_t since_sync_ = 0;
   bool finished_ = false;

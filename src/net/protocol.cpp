@@ -1,6 +1,6 @@
 #include "net/protocol.h"
 
-#include <cstring>
+#include <cmath>
 #include <utility>
 
 namespace aps::net {
@@ -12,14 +12,14 @@ using aps::io::BinaryWriter;
 
 /// Little-endian scalar helpers for the fixed-layout frame header (the
 /// payload goes through the shared BinaryWriter/BinaryReader codec).
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+void store_u16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v & 0xFFu);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+void store_u32(std::uint8_t* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
+    p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu);
   }
 }
 
@@ -35,8 +35,29 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
+/// `out` holds a frame from `start` on: kFrameHeaderSize reserved bytes,
+/// then the payload. Fill in the header and return the frame's size; an
+/// oversized payload is taken back off `out` and refused.
+std::size_t seal_frame(std::vector<std::uint8_t>& out, std::size_t start,
+                       FrameKind kind) {
+  const std::size_t payload_len = out.size() - start - kFrameHeaderSize;
+  if (payload_len > kMaxFramePayload) {
+    out.resize(start);
+    throw ProtocolError("frame payload exceeds the protocol maximum");
+  }
+  std::uint8_t* header = out.data() + start;
+  store_u32(header, kNetMagic);
+  store_u16(header + 4, kNetVersion);
+  store_u16(header + 6, static_cast<std::uint16_t>(kind));
+  store_u32(header + 8, static_cast<std::uint32_t>(payload_len));
+  store_u32(header + 12, aps::io::crc32(header, 12));
+  store_u32(header + 16,
+            aps::io::crc32(header + kFrameHeaderSize, payload_len));
+  return kFrameHeaderSize + payload_len;
+}
+
 /// Payload reader for `frame`, validating the expected kind.
-[[nodiscard]] BinaryReader payload_reader(const Frame& frame,
+[[nodiscard]] BinaryReader payload_reader(FrameView frame,
                                           FrameKind expected) {
   if (frame.kind != expected) {
     throw ProtocolError(std::string("frame kind mismatch: expected ") +
@@ -56,8 +77,14 @@ void expect_drained(const BinaryReader& in, FrameKind kind) {
   }
 }
 
-[[nodiscard]] Frame finish_frame(FrameKind kind, BinaryWriter&& payload) {
-  return Frame{kind, std::move(payload).take()};
+/// One observation field; NaN and infinities are hostile input.
+[[nodiscard]] double finite_field(BinaryReader& in, const char* name) {
+  const double v = in.f64();
+  if (!std::isfinite(v)) {
+    throw ProtocolError(std::string("non-finite observation field '") +
+                        name + "'");
+  }
+  return v;
 }
 
 }  // namespace
@@ -79,18 +106,11 @@ const char* frame_kind_name(FrameKind kind) {
 }
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
-  if (frame.payload.size() > kMaxFramePayload) {
-    throw ProtocolError("frame payload exceeds the protocol maximum");
-  }
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderSize + frame.payload.size());
-  put_u32(out, kNetMagic);
-  put_u16(out, kNetVersion);
-  put_u16(out, static_cast<std::uint16_t>(frame.kind));
-  put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
-  put_u32(out, aps::io::crc32(out.data(), out.size()));
-  put_u32(out, aps::io::crc32(frame.payload.data(), frame.payload.size()));
+  out.resize(kFrameHeaderSize);
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
+  (void)seal_frame(out, 0, frame.kind);
   return out;
 }
 
@@ -109,6 +129,12 @@ void FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
 }
 
 std::optional<Frame> FrameDecoder::next() {
+  const std::optional<FrameView> view = next_view();
+  if (!view.has_value()) return std::nullopt;
+  return Frame{view->kind, {view->payload.begin(), view->payload.end()}};
+}
+
+std::optional<FrameView> FrameDecoder::next_view() {
   if (poisoned_) {
     throw ProtocolError("connection from " + peer_ +
                         " already failed protocol validation");
@@ -123,7 +149,7 @@ std::optional<Frame> FrameDecoder::next() {
   const std::uint32_t payload_len = get_u32(header + 8);
   const std::uint32_t header_crc = get_u32(header + 12);
   const std::uint32_t payload_crc = get_u32(header + 16);
-  const auto fail = [&](const std::string& what) -> std::optional<Frame> {
+  const auto fail = [&](const std::string& what) -> std::optional<FrameView> {
     poisoned_ = true;
     throw ProtocolError("malformed frame from " + peer_ + ": " + what);
   };
@@ -143,11 +169,8 @@ std::optional<Frame> FrameDecoder::next() {
   if (aps::io::crc32(payload, payload_len) != payload_crc) {
     return fail("payload CRC mismatch");
   }
-  Frame frame;
-  frame.kind = static_cast<FrameKind>(kind);
-  frame.payload.assign(payload, payload + payload_len);
   pos_ += kFrameHeaderSize + payload_len;
-  return frame;
+  return FrameView{static_cast<FrameKind>(kind), {payload, payload_len}};
 }
 
 // ---- Observation / Decision bodies ----------------------------------------
@@ -168,21 +191,21 @@ void write_observation(BinaryWriter& out,
 
 aps::monitor::Observation read_observation(BinaryReader& in) {
   aps::monitor::Observation obs;
-  obs.time_min = in.f64();
-  obs.bg = in.f64();
-  obs.bg_rate = in.f64();
-  obs.iob = in.f64();
-  obs.iob_rate = in.f64();
-  obs.commanded_rate = in.f64();
-  obs.previous_rate = in.f64();
+  obs.time_min = finite_field(in, "time_min");
+  obs.bg = finite_field(in, "bg");
+  obs.bg_rate = finite_field(in, "bg_rate");
+  obs.iob = finite_field(in, "iob");
+  obs.iob_rate = finite_field(in, "iob_rate");
+  obs.commanded_rate = finite_field(in, "commanded_rate");
+  obs.previous_rate = finite_field(in, "previous_rate");
   const std::uint8_t action = in.u8();
   if (action > static_cast<std::uint8_t>(aps::ControlAction::kKeepInsulin)) {
     throw ProtocolError("out-of-range control action " +
                         std::to_string(action));
   }
   obs.action = static_cast<aps::ControlAction>(action);
-  obs.basal_rate = in.f64();
-  obs.isf = in.f64();
+  obs.basal_rate = finite_field(in, "basal_rate");
+  obs.isf = finite_field(in, "isf");
   return obs;
 }
 
@@ -211,16 +234,180 @@ aps::monitor::Decision read_decision(BinaryReader& in) {
   return decision;
 }
 
-// ---- Typed encode / decode -------------------------------------------------
+// ---- Typed encode ----------------------------------------------------------
 
-Frame encode(const HelloMsg& msg) {
-  BinaryWriter out;
+namespace {
+
+void write_payload(BinaryWriter& out, const HelloMsg& msg) {
   out.u32(msg.protocol_version);
   out.str(msg.client_name);
-  return finish_frame(FrameKind::kHello, std::move(out));
 }
 
-HelloMsg decode_hello(const Frame& frame) {
+void write_payload(BinaryWriter& out, const HelloAckMsg& msg) {
+  out.u32(msg.protocol_version);
+  out.u64(msg.generation);
+  out.str(msg.server_name);
+}
+
+void write_payload(BinaryWriter& out, const OpenSessionMsg& msg) {
+  out.u64(msg.token);
+  out.str(msg.patient_id);
+  out.str(msg.monitor);
+  out.i32(msg.patient_index);
+}
+
+void write_payload(BinaryWriter& out, const OpenAckMsg& msg) {
+  out.u64(msg.token);
+  out.u8(msg.ok ? 1 : 0);
+  out.str(msg.error);
+}
+
+void write_payload(BinaryWriter& out, const TickMsg& msg) {
+  out.u64(msg.token);
+  out.u64(msg.seq);
+  write_observation(out, msg.obs);
+}
+
+void write_payload(BinaryWriter& out, const DecisionMsg& msg) {
+  out.u64(msg.token);
+  out.u64(msg.seq);
+  write_decision(out, msg.decision);
+}
+
+void write_payload(BinaryWriter& out, const CloseSessionMsg& msg) {
+  out.u64(msg.token);
+}
+
+void write_payload(BinaryWriter& out, const CloseAckMsg& msg) {
+  out.u64(msg.token);
+  out.u64(msg.cycles);
+  out.u64(msg.alarms);
+}
+
+void write_payload(BinaryWriter& out, const ErrorMsg& msg) {
+  out.u32(msg.code);
+  out.str(msg.message);
+}
+
+void write_payload(BinaryWriter& out, const RejectMsg& msg) {
+  out.u64(msg.token);
+  out.u64(msg.seq);
+  out.u8(msg.reason);
+  out.u32(msg.retry_after_ms);
+  out.str(msg.message);
+}
+
+/// Owned frame for `msg` (encode()).
+template <class Msg>
+[[nodiscard]] Frame make_frame(FrameKind kind, const Msg& msg) {
+  Frame frame{kind, {}};
+  BinaryWriter payload(frame.payload);
+  write_payload(payload, msg);
+  return frame;
+}
+
+/// `msg` framed in place at the end of `out` (append_frame()).
+template <class Msg>
+std::size_t append_msg(std::vector<std::uint8_t>& out, FrameKind kind,
+                       const Msg& msg) {
+  const std::size_t start = out.size();
+  out.resize(start + kFrameHeaderSize);
+  BinaryWriter payload(out);
+  write_payload(payload, msg);
+  return seal_frame(out, start, kind);
+}
+
+}  // namespace
+
+Frame encode(const HelloMsg& msg) {
+  return make_frame(FrameKind::kHello, msg);
+}
+
+std::size_t append_frame(std::vector<std::uint8_t>& out, const HelloMsg& msg) {
+  return append_msg(out, FrameKind::kHello, msg);
+}
+
+Frame encode(const HelloAckMsg& msg) {
+  return make_frame(FrameKind::kHelloAck, msg);
+}
+
+std::size_t append_frame(std::vector<std::uint8_t>& out,
+                         const HelloAckMsg& msg) {
+  return append_msg(out, FrameKind::kHelloAck, msg);
+}
+
+Frame encode(const OpenSessionMsg& msg) {
+  return make_frame(FrameKind::kOpenSession, msg);
+}
+
+std::size_t append_frame(std::vector<std::uint8_t>& out,
+                         const OpenSessionMsg& msg) {
+  return append_msg(out, FrameKind::kOpenSession, msg);
+}
+
+Frame encode(const OpenAckMsg& msg) {
+  return make_frame(FrameKind::kOpenAck, msg);
+}
+
+std::size_t append_frame(std::vector<std::uint8_t>& out,
+                         const OpenAckMsg& msg) {
+  return append_msg(out, FrameKind::kOpenAck, msg);
+}
+
+Frame encode(const TickMsg& msg) {
+  return make_frame(FrameKind::kTick, msg);
+}
+
+std::size_t append_frame(std::vector<std::uint8_t>& out, const TickMsg& msg) {
+  return append_msg(out, FrameKind::kTick, msg);
+}
+
+Frame encode(const DecisionMsg& msg) {
+  return make_frame(FrameKind::kDecision, msg);
+}
+
+std::size_t append_frame(std::vector<std::uint8_t>& out,
+                         const DecisionMsg& msg) {
+  return append_msg(out, FrameKind::kDecision, msg);
+}
+
+Frame encode(const CloseSessionMsg& msg) {
+  return make_frame(FrameKind::kCloseSession, msg);
+}
+
+std::size_t append_frame(std::vector<std::uint8_t>& out,
+                         const CloseSessionMsg& msg) {
+  return append_msg(out, FrameKind::kCloseSession, msg);
+}
+
+Frame encode(const CloseAckMsg& msg) {
+  return make_frame(FrameKind::kCloseAck, msg);
+}
+
+std::size_t append_frame(std::vector<std::uint8_t>& out,
+                         const CloseAckMsg& msg) {
+  return append_msg(out, FrameKind::kCloseAck, msg);
+}
+
+Frame encode(const ErrorMsg& msg) {
+  return make_frame(FrameKind::kError, msg);
+}
+
+std::size_t append_frame(std::vector<std::uint8_t>& out, const ErrorMsg& msg) {
+  return append_msg(out, FrameKind::kError, msg);
+}
+
+Frame encode(const RejectMsg& msg) {
+  return make_frame(FrameKind::kReject, msg);
+}
+
+std::size_t append_frame(std::vector<std::uint8_t>& out, const RejectMsg& msg) {
+  return append_msg(out, FrameKind::kReject, msg);
+}
+
+// ---- Typed decode ----------------------------------------------------------
+
+HelloMsg decode_hello(FrameView frame) {
   auto in = payload_reader(frame, FrameKind::kHello);
   HelloMsg msg;
   msg.protocol_version = in.u32();
@@ -229,15 +416,7 @@ HelloMsg decode_hello(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const HelloAckMsg& msg) {
-  BinaryWriter out;
-  out.u32(msg.protocol_version);
-  out.u64(msg.generation);
-  out.str(msg.server_name);
-  return finish_frame(FrameKind::kHelloAck, std::move(out));
-}
-
-HelloAckMsg decode_hello_ack(const Frame& frame) {
+HelloAckMsg decode_hello_ack(FrameView frame) {
   auto in = payload_reader(frame, FrameKind::kHelloAck);
   HelloAckMsg msg;
   msg.protocol_version = in.u32();
@@ -247,16 +426,7 @@ HelloAckMsg decode_hello_ack(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const OpenSessionMsg& msg) {
-  BinaryWriter out;
-  out.u64(msg.token);
-  out.str(msg.patient_id);
-  out.str(msg.monitor);
-  out.i32(msg.patient_index);
-  return finish_frame(FrameKind::kOpenSession, std::move(out));
-}
-
-OpenSessionMsg decode_open_session(const Frame& frame) {
+OpenSessionMsg decode_open_session(FrameView frame) {
   auto in = payload_reader(frame, FrameKind::kOpenSession);
   OpenSessionMsg msg;
   msg.token = in.u64();
@@ -267,15 +437,7 @@ OpenSessionMsg decode_open_session(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const OpenAckMsg& msg) {
-  BinaryWriter out;
-  out.u64(msg.token);
-  out.u8(msg.ok ? 1 : 0);
-  out.str(msg.error);
-  return finish_frame(FrameKind::kOpenAck, std::move(out));
-}
-
-OpenAckMsg decode_open_ack(const Frame& frame) {
+OpenAckMsg decode_open_ack(FrameView frame) {
   auto in = payload_reader(frame, FrameKind::kOpenAck);
   OpenAckMsg msg;
   msg.token = in.u64();
@@ -285,15 +447,7 @@ OpenAckMsg decode_open_ack(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const TickMsg& msg) {
-  BinaryWriter out;
-  out.u64(msg.token);
-  out.u64(msg.seq);
-  write_observation(out, msg.obs);
-  return finish_frame(FrameKind::kTick, std::move(out));
-}
-
-TickMsg decode_tick(const Frame& frame) {
+TickMsg decode_tick(FrameView frame) {
   auto in = payload_reader(frame, FrameKind::kTick);
   TickMsg msg;
   msg.token = in.u64();
@@ -303,15 +457,7 @@ TickMsg decode_tick(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const DecisionMsg& msg) {
-  BinaryWriter out;
-  out.u64(msg.token);
-  out.u64(msg.seq);
-  write_decision(out, msg.decision);
-  return finish_frame(FrameKind::kDecision, std::move(out));
-}
-
-DecisionMsg decode_decision(const Frame& frame) {
+DecisionMsg decode_decision(FrameView frame) {
   auto in = payload_reader(frame, FrameKind::kDecision);
   DecisionMsg msg;
   msg.token = in.u64();
@@ -321,13 +467,7 @@ DecisionMsg decode_decision(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const CloseSessionMsg& msg) {
-  BinaryWriter out;
-  out.u64(msg.token);
-  return finish_frame(FrameKind::kCloseSession, std::move(out));
-}
-
-CloseSessionMsg decode_close_session(const Frame& frame) {
+CloseSessionMsg decode_close_session(FrameView frame) {
   auto in = payload_reader(frame, FrameKind::kCloseSession);
   CloseSessionMsg msg;
   msg.token = in.u64();
@@ -335,15 +475,7 @@ CloseSessionMsg decode_close_session(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const CloseAckMsg& msg) {
-  BinaryWriter out;
-  out.u64(msg.token);
-  out.u64(msg.cycles);
-  out.u64(msg.alarms);
-  return finish_frame(FrameKind::kCloseAck, std::move(out));
-}
-
-CloseAckMsg decode_close_ack(const Frame& frame) {
+CloseAckMsg decode_close_ack(FrameView frame) {
   auto in = payload_reader(frame, FrameKind::kCloseAck);
   CloseAckMsg msg;
   msg.token = in.u64();
@@ -353,14 +485,7 @@ CloseAckMsg decode_close_ack(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const ErrorMsg& msg) {
-  BinaryWriter out;
-  out.u32(msg.code);
-  out.str(msg.message);
-  return finish_frame(FrameKind::kError, std::move(out));
-}
-
-ErrorMsg decode_error(const Frame& frame) {
+ErrorMsg decode_error(FrameView frame) {
   auto in = payload_reader(frame, FrameKind::kError);
   ErrorMsg msg;
   msg.code = in.u32();
@@ -369,17 +494,7 @@ ErrorMsg decode_error(const Frame& frame) {
   return msg;
 }
 
-Frame encode(const RejectMsg& msg) {
-  BinaryWriter out;
-  out.u64(msg.token);
-  out.u64(msg.seq);
-  out.u8(msg.reason);
-  out.u32(msg.retry_after_ms);
-  out.str(msg.message);
-  return finish_frame(FrameKind::kReject, std::move(out));
-}
-
-RejectMsg decode_reject(const Frame& frame) {
+RejectMsg decode_reject(FrameView frame) {
   auto in = payload_reader(frame, FrameKind::kReject);
   RejectMsg msg;
   msg.token = in.u64();

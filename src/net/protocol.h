@@ -11,6 +11,12 @@
 // artifact bundles use: hostile string lengths and element counts are
 // rejected up front, and every decode must consume its payload exactly.
 //
+// Two ways in and out: encode(msg) / FrameDecoder::next() hand over owned
+// Frame values, while append_frame(buf, msg) encodes header, CRCs and
+// payload straight into a caller's buffer and next_view() lends the
+// payload in place — the server's per-tick path, which allocates nothing
+// per frame.
+//
 // Conversation shape (client -> server unless noted):
 //   kHello        -> kHelloAck       version handshake, engine generation
 //   kOpenSession  -> kOpenAck        client token -> serving session
@@ -66,9 +72,18 @@ inline constexpr std::uint16_t kFrameKindMax = 10;
 
 [[nodiscard]] const char* frame_kind_name(FrameKind kind);
 
+/// A frame whose payload lives elsewhere (a decoder's buffer, a Frame).
+struct FrameView {
+  FrameKind kind = FrameKind::kError;
+  std::span<const std::uint8_t> payload;
+};
+
 struct Frame {
   FrameKind kind = FrameKind::kError;
   std::vector<std::uint8_t> payload;
+
+  /// Decoders take views; an owned frame converts implicitly.
+  operator FrameView() const { return {kind, payload}; }
 };
 
 /// Serialize one frame (header + CRCs + payload) ready for the socket.
@@ -87,6 +102,9 @@ class FrameDecoder {
   /// Next complete, CRC-verified frame; nullopt when more bytes are
   /// needed.
   [[nodiscard]] std::optional<Frame> next();
+  /// next() without the copy: the payload points into the decoder's
+  /// buffer and stays valid until the next feed().
+  [[nodiscard]] std::optional<FrameView> next_view();
   /// Bytes buffered but not yet consumed by a complete frame.
   [[nodiscard]] std::size_t buffered() const { return buf_.size() - pos_; }
 
@@ -175,21 +193,43 @@ struct RejectMsg {
 [[nodiscard]] Frame encode(const ErrorMsg& msg);
 [[nodiscard]] Frame encode(const RejectMsg& msg);
 
+// Frame `msg` straight onto the end of `out` (header, CRCs, payload — the
+// same bytes as encode_frame(encode(msg))); returns the bytes appended.
+std::size_t append_frame(std::vector<std::uint8_t>& out, const HelloMsg& msg);
+std::size_t append_frame(std::vector<std::uint8_t>& out,
+                         const HelloAckMsg& msg);
+std::size_t append_frame(std::vector<std::uint8_t>& out,
+                         const OpenSessionMsg& msg);
+std::size_t append_frame(std::vector<std::uint8_t>& out,
+                         const OpenAckMsg& msg);
+std::size_t append_frame(std::vector<std::uint8_t>& out, const TickMsg& msg);
+std::size_t append_frame(std::vector<std::uint8_t>& out,
+                         const DecisionMsg& msg);
+std::size_t append_frame(std::vector<std::uint8_t>& out,
+                         const CloseSessionMsg& msg);
+std::size_t append_frame(std::vector<std::uint8_t>& out,
+                         const CloseAckMsg& msg);
+std::size_t append_frame(std::vector<std::uint8_t>& out, const ErrorMsg& msg);
+std::size_t append_frame(std::vector<std::uint8_t>& out,
+                         const RejectMsg& msg);
+
 // Decoders validate the frame kind, every enum, and that the payload is
-// consumed exactly; ProtocolError otherwise.
-[[nodiscard]] HelloMsg decode_hello(const Frame& frame);
-[[nodiscard]] HelloAckMsg decode_hello_ack(const Frame& frame);
-[[nodiscard]] OpenSessionMsg decode_open_session(const Frame& frame);
-[[nodiscard]] OpenAckMsg decode_open_ack(const Frame& frame);
-[[nodiscard]] TickMsg decode_tick(const Frame& frame);
-[[nodiscard]] DecisionMsg decode_decision(const Frame& frame);
-[[nodiscard]] CloseSessionMsg decode_close_session(const Frame& frame);
-[[nodiscard]] CloseAckMsg decode_close_ack(const Frame& frame);
-[[nodiscard]] ErrorMsg decode_error(const Frame& frame);
-[[nodiscard]] RejectMsg decode_reject(const Frame& frame);
+// consumed exactly; ProtocolError otherwise. A Frame converts to the view.
+[[nodiscard]] HelloMsg decode_hello(FrameView frame);
+[[nodiscard]] HelloAckMsg decode_hello_ack(FrameView frame);
+[[nodiscard]] OpenSessionMsg decode_open_session(FrameView frame);
+[[nodiscard]] OpenAckMsg decode_open_ack(FrameView frame);
+[[nodiscard]] TickMsg decode_tick(FrameView frame);
+[[nodiscard]] DecisionMsg decode_decision(FrameView frame);
+[[nodiscard]] CloseSessionMsg decode_close_session(FrameView frame);
+[[nodiscard]] CloseAckMsg decode_close_ack(FrameView frame);
+[[nodiscard]] ErrorMsg decode_error(FrameView frame);
+[[nodiscard]] RejectMsg decode_reject(FrameView frame);
 
 // Observation/Decision body codecs, shared with the listfile record
 // format so recorded streams and wire streams are one encoding.
+// read_observation rejects a NaN or infinite field with ProtocolError:
+// one NaN would poison a monitor's state and its shard's drift summary.
 void write_observation(aps::io::BinaryWriter& out,
                        const aps::monitor::Observation& obs);
 [[nodiscard]] aps::monitor::Observation read_observation(

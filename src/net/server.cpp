@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <stdexcept>
 #include <unordered_map>
@@ -100,10 +99,6 @@ class GroupBackend final : public ServingBackend {
   aps::serve::EngineGroup& group_;
 };
 
-/// A connection writing slower than this backlog is dead weight; drop it
-/// rather than buffer without bound.
-constexpr std::size_t kMaxOutbufBytes = 16u << 20;  // 16 MiB
-
 std::string errno_message(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
@@ -131,7 +126,9 @@ struct IngestServer::Impl {
     FrameDecoder decoder{"peer"};
     std::vector<std::uint8_t> outbuf;
     std::size_t out_pos = 0;
-    std::deque<PendingEvent> events;
+    /// FIFO of decoded ticks/closes; run_tick() erases the prefix it
+    /// consumed, so the storage is reused rather than reallocated.
+    std::vector<PendingEvent> events;
     /// Client token -> live engine session.
     std::unordered_map<std::uint64_t, aps::serve::SessionId> sessions;
     /// Admission tenant from the hello's client name (labels only; the
@@ -140,6 +137,7 @@ struct IngestServer::Impl {
     bool hello_done = false;
     bool paused = false;      ///< EPOLLIN removed until the next tick drain
     bool want_write = false;  ///< EPOLLOUT armed for a partial outbuf
+    bool flush_queued = false;  ///< listed in flush_list for this wave
   };
 
   std::unique_ptr<ServingBackend> backend;
@@ -157,6 +155,8 @@ struct IngestServer::Impl {
   std::atomic<std::size_t> open_count{0};
 
   std::map<int, Connection> connections;  ///< fd -> state, IO thread only
+  /// Connections with output queued this wave; flushed once at its end.
+  std::vector<int> flush_list;
   std::unique_ptr<ListfileWriter> listfile;
 
   // Metric handles, resolved once (per-frame-kind counters included).
@@ -166,6 +166,8 @@ struct IngestServer::Impl {
   aps::obs::Counter* c_rejected = nullptr;
   aps::obs::Counter* c_bytes_in = nullptr;
   aps::obs::Counter* c_bytes_out = nullptr;
+  aps::obs::Counter* c_send_calls = nullptr;
+  aps::obs::Counter* c_slow_consumers = nullptr;
   aps::obs::Counter* c_protocol_errors = nullptr;
   aps::obs::Counter* c_ticks = nullptr;
   aps::obs::Counter* c_batches = nullptr;
@@ -207,6 +209,14 @@ struct IngestServer::Impl {
                                    "bytes read from ingest sockets");
     c_bytes_out = &registry.counter("net_bytes_out_total", {},
                                     "bytes written to ingest sockets");
+    c_send_calls = &registry.counter(
+        "net_send_calls_total", {},
+        "send() syscalls on ingest sockets (one per connection per flush "
+        "unless the socket buffer fills)");
+    c_slow_consumers = &registry.counter(
+        "net_slow_consumer_drops_total", {},
+        "connections dropped because their unsent backlog passed "
+        "kMaxOutbufBytes");
     c_protocol_errors = &registry.counter(
         "net_protocol_errors_total", {},
         "connections dropped for malformed or hostile frames");
@@ -393,7 +403,7 @@ struct IngestServer::Impl {
           drop_connection(fd, "peer hung up");
           continue;
         }
-        if ((events[i].events & EPOLLOUT) != 0) flush_outbuf(it->second);
+        if ((events[i].events & EPOLLOUT) != 0) mark_for_flush(it->second);
         if ((events[i].events & EPOLLIN) != 0) handle_readable(fd);
       }
       const bool due = config.tick_interval_ms == 0 ||
@@ -404,6 +414,10 @@ struct IngestServer::Impl {
       } else if (due) {
         next_tick = clock::now() + interval;
       }
+      // The wave's one write point: everything queued above — acks,
+      // decisions, rejects, close-acks — leaves in one send() per
+      // connection.
+      flush_pending();
     }
   }
 
@@ -480,14 +494,15 @@ struct IngestServer::Impl {
   /// ProtocolError upward for malformed bytes.
   bool drain_decoder(Connection& conn) {
     while (!conn.paused) {
-      std::optional<Frame> frame = conn.decoder.next();
+      const std::optional<FrameView> frame = conn.decoder.next_view();
       if (!frame.has_value()) return true;
       if (!process_frame(conn, *frame)) return false;
     }
     return true;
   }
 
-  bool process_frame(Connection& conn, const Frame& frame) {
+  /// `frame` points into conn's decoder, valid until its next feed().
+  bool process_frame(Connection& conn, FrameView frame) {
     const auto kind_index = static_cast<std::uint16_t>(frame.kind);
     c_frames_in[kind_index]->add(1);
     h_frame_in->observe(
@@ -501,22 +516,21 @@ struct IngestServer::Impl {
       }
       const HelloMsg hello = decode_hello(frame);
       if (hello.protocol_version != kNetVersion) {
-        const int fd = conn.fd;
-        (void)send_frame(conn,
-                         encode(ErrorMsg{
-                             .code = 1,
+        queue_frame(conn, FrameKind::kError,
+                    ErrorMsg{.code = 1,
                              .message = "unsupported protocol version " +
                                         std::to_string(
-                                            hello.protocol_version)}));
-        drop_connection(fd, "version mismatch");
+                                            hello.protocol_version)});
+        drop_connection(conn.fd, "version mismatch");
         return false;
       }
       conn.tenant = std::string(aps::serve::tenant_of(hello.client_name));
       conn.hello_done = true;
-      return send_frame(
-          conn, encode(HelloAckMsg{.protocol_version = kNetVersion,
-                                   .generation = engine.generation(),
-                                   .server_name = config.server_name}));
+      queue_frame(conn, FrameKind::kHelloAck,
+                  HelloAckMsg{.protocol_version = kNetVersion,
+                              .generation = engine.generation(),
+                              .server_name = config.server_name});
+      return true;
     }
 
     switch (frame.kind) {
@@ -540,19 +554,20 @@ struct IngestServer::Impl {
           } catch (const aps::serve::ShedError& err) {
             // Overload, not failure: typed reject so the client backs
             // off and retries; the connection stays up.
-            return send_frame(
-                conn,
-                encode(RejectMsg{
-                    .token = msg.token,
-                    .seq = 0,
-                    .reason = static_cast<std::uint8_t>(err.reason()),
-                    .retry_after_ms = err.retry_after_ms(),
-                    .message = err.what()}));
+            queue_frame(
+                conn, FrameKind::kReject,
+                RejectMsg{.token = msg.token,
+                          .seq = 0,
+                          .reason = static_cast<std::uint8_t>(err.reason()),
+                          .retry_after_ms = err.retry_after_ms(),
+                          .message = err.what()});
+            return true;
           } catch (const std::exception& err) {
             ack.error = err.what();
           }
         }
-        return send_frame(conn, encode(ack));
+        queue_frame(conn, FrameKind::kOpenAck, ack);
+        return true;
       }
       case FrameKind::kTick: {
         const TickMsg msg = decode_tick(frame);
@@ -595,27 +610,41 @@ struct IngestServer::Impl {
   // ---- Tick: drain queues through the engine -------------------------------
 
   struct BatchSlot {
-    int fd = -1;
+    Connection* conn = nullptr;
     std::uint64_t token = 0;
     std::uint64_t seq = 0;
     aps::serve::SessionId session = 0;
   };
 
   struct PendingClose {
-    int fd = -1;
+    Connection* conn = nullptr;
     std::uint64_t token = 0;
     aps::serve::SessionId session = 0;
   };
 
+  // run_tick's buffers, reused so a tick allocates nothing once warm.
+  std::vector<aps::serve::SessionInput> tick_inputs;
+  std::vector<BatchSlot> tick_slots;
+  std::vector<aps::monitor::Decision> tick_decisions;
+  std::vector<aps::serve::TickOutcome> tick_outcomes;
+  std::vector<PendingClose> tick_closes;
+  std::vector<int> tick_resumed;
+
+  // No connection is dropped between the gather and the replies below
+  // (writes only queue), so slots can point at their connections.
   void run_tick() {
-    std::vector<aps::serve::SessionInput> inputs;
-    std::vector<BatchSlot> slots;
-    std::vector<PendingClose> closes;
+    auto& inputs = tick_inputs;
+    auto& slots = tick_slots;
+    auto& closes = tick_closes;
+    inputs.clear();
+    slots.clear();
+    closes.clear();
 
     for (auto& [fd, conn] : connections) {
       if (inputs.size() >= config.max_batch) break;
-      while (!conn.events.empty() && inputs.size() < config.max_batch) {
-        PendingEvent& ev = conn.events.front();
+      std::size_t used = 0;
+      while (used < conn.events.size() && inputs.size() < config.max_batch) {
+        const PendingEvent& ev = conn.events[used++];
         if (ev.kind == PendingEvent::Kind::kTick) {
           const auto sit = conn.sessions.find(ev.token);
           if (sit == conn.sessions.end()) {
@@ -625,7 +654,7 @@ struct IngestServer::Impl {
             // tick, and shed ticks must stay out of the record so replay
             // reproduces exactly the served stream.
             inputs.push_back({sit->second, ev.obs});
-            slots.push_back({.fd = fd,
+            slots.push_back({.conn = &conn,
                              .token = ev.token,
                              .seq = ev.seq,
                              .session = sit->second});
@@ -640,17 +669,21 @@ struct IngestServer::Impl {
             // close itself waits until after the batch below feeds the
             // ticks queued ahead of it.
             closes.push_back(
-                {.fd = fd, .token = ev.token, .session = sit->second});
+                {.conn = &conn, .token = ev.token, .session = sit->second});
             conn.sessions.erase(sit);
           }
         }
-        conn.events.pop_front();
       }
+      conn.events.erase(
+          conn.events.begin(),
+          conn.events.begin() + static_cast<std::ptrdiff_t>(used));
     }
 
     if (!inputs.empty()) {
-      std::vector<aps::monitor::Decision> decisions(inputs.size());
-      std::vector<aps::serve::TickOutcome> outcomes(inputs.size());
+      auto& decisions = tick_decisions;
+      auto& outcomes = tick_outcomes;
+      decisions.assign(inputs.size(), {});
+      outcomes.assign(inputs.size(), {});
       engine.feed(inputs, decisions, outcomes);
       c_batches->add(1);
       h_batch->observe(static_cast<double>(inputs.size()));
@@ -660,16 +693,13 @@ struct IngestServer::Impl {
         if (!outcomes[i].served()) {
           // Shed tick: typed reject (seq echoed so the client can match
           // it) instead of a decision; nothing reaches the listfile.
-          auto cit = connections.find(slot.fd);
-          if (cit == connections.end()) continue;  // client left mid-tick
-          (void)send_frame(
-              cit->second,
-              encode(RejectMsg{
-                  .token = slot.token,
-                  .seq = slot.seq,
-                  .reason = static_cast<std::uint8_t>(outcomes[i].reason),
-                  .retry_after_ms = engine.admission_retry_ms(),
-                  .message = "tick shed: tenant over quota"}));
+          queue_frame(
+              *slot.conn, FrameKind::kReject,
+              RejectMsg{.token = slot.token,
+                        .seq = slot.seq,
+                        .reason = static_cast<std::uint8_t>(outcomes[i].reason),
+                        .retry_after_ms = engine.admission_retry_ms(),
+                        .message = "tick shed: tenant over quota"});
           continue;
         }
         ++served;
@@ -683,12 +713,10 @@ struct IngestServer::Impl {
                                      .seq = slot.seq,
                                      .decision = decisions[i]});
         }
-        auto cit = connections.find(slot.fd);
-        if (cit == connections.end()) continue;  // client left mid-tick
-        (void)send_frame(cit->second,
-                         encode(DecisionMsg{.token = slot.token,
-                                            .seq = slot.seq,
-                                            .decision = decisions[i]}));
+        queue_frame(*slot.conn, FrameKind::kDecision,
+                    DecisionMsg{.token = slot.token,
+                                .seq = slot.seq,
+                                .decision = decisions[i]});
       }
       c_ticks->add(served);
     }
@@ -697,17 +725,16 @@ struct IngestServer::Impl {
       const aps::serve::SessionStats st = engine.stats(close.session);
       engine.close_session(close.session);
       if (listfile) listfile->record_close({.key = close.session});
-      auto cit = connections.find(close.fd);
-      if (cit == connections.end()) continue;  // client left mid-tick
-      (void)send_frame(cit->second,
-                       encode(CloseAckMsg{.token = close.token,
-                                          .cycles = st.cycles,
-                                          .alarms = st.alarms}));
+      queue_frame(*close.conn, FrameKind::kCloseAck,
+                  CloseAckMsg{.token = close.token,
+                              .cycles = st.cycles,
+                              .alarms = st.alarms});
     }
 
     // Resume paused connections; their decoders may hold buffered frames
     // that arrived before the pause took effect.
-    std::vector<int> resumed;
+    auto& resumed = tick_resumed;
+    resumed.clear();
     for (auto& [fd, conn] : connections) {
       if (conn.paused && conn.events.size() < config.max_queued_events) {
         conn.paused = false;
@@ -728,24 +755,45 @@ struct IngestServer::Impl {
 
   // ---- Writes --------------------------------------------------------------
 
-  /// Queue + flush one frame. Returns false when the connection was
-  /// dropped (slow consumer) — `conn` is then dangling and the caller
-  /// must stop touching it.
-  [[nodiscard]] bool send_frame(Connection& conn, const Frame& frame) {
-    const std::vector<std::uint8_t> bytes = encode_frame(frame);
-    c_frames_out[static_cast<std::uint16_t>(frame.kind)]->add(1);
-    h_frame_out->observe(static_cast<double>(bytes.size()));
-    conn.outbuf.insert(conn.outbuf.end(), bytes.begin(), bytes.end());
-    flush_outbuf(conn);
-    if (conn.outbuf.size() - conn.out_pos > kMaxOutbufBytes) {
-      drop_connection(conn.fd, "slow consumer");
-      return false;
-    }
-    return true;
+  /// Append one frame to the connection's output buffer. Nothing is sent
+  /// here: flush_pending() writes each connection once per wave.
+  template <class Msg>
+  void queue_frame(Connection& conn, FrameKind kind, const Msg& msg) {
+    const std::size_t bytes = append_frame(conn.outbuf, msg);
+    c_frames_out[static_cast<std::uint16_t>(kind)]->add(1);
+    h_frame_out->observe(static_cast<double>(bytes));
+    mark_for_flush(conn);
   }
 
-  void flush_outbuf(Connection& conn) {
+  void mark_for_flush(Connection& conn) {
+    if (conn.flush_queued) return;
+    conn.flush_queued = true;
+    flush_list.push_back(conn.fd);
+  }
+
+  /// The wave's write point: one flush per connection with queued output,
+  /// then the slow-consumer check on what the socket would not take.
+  void flush_pending() {
+    for (const int fd : flush_list) {
+      auto it = connections.find(fd);
+      if (it == connections.end()) continue;  // dropped during the wave
+      Connection& conn = it->second;
+      conn.flush_queued = false;
+      flush_outbuf(conn);
+      if (conn.outbuf.size() - conn.out_pos > kMaxOutbufBytes) {
+        c_slow_consumers->add(1);
+        drop_connection(fd, "slow consumer");
+      }
+    }
+    flush_list.clear();
+  }
+
+  /// send() as much of the backlog as the socket takes. A dead peer's
+  /// backlog is discarded (reads notice the hang-up via EPOLLHUP).
+  void write_outbuf(Connection& conn) {
+    std::uint64_t calls = 0;
     while (conn.out_pos < conn.outbuf.size()) {
+      ++calls;
       const ssize_t n =
           ::send(conn.fd, conn.outbuf.data() + conn.out_pos,
                  conn.outbuf.size() - conn.out_pos, MSG_NOSIGNAL);
@@ -756,11 +804,16 @@ struct IngestServer::Impl {
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       if (n < 0 && errno == EINTR) continue;
-      // Peer vanished; reads will notice via EPOLLHUP. Drop the backlog.
       conn.out_pos = 0;
       conn.outbuf.clear();
       break;
     }
+    if (calls > 0) c_send_calls->add(calls);
+  }
+
+  /// write_outbuf() plus EPOLLOUT bookkeeping for a backlog left over.
+  void flush_outbuf(Connection& conn) {
+    write_outbuf(conn);
     if (conn.out_pos >= conn.outbuf.size()) {
       conn.outbuf.clear();
       conn.out_pos = 0;
@@ -768,17 +821,16 @@ struct IngestServer::Impl {
         conn.want_write = false;
         update_interest(conn);
       }
-    } else if (conn.out_pos > (1u << 20)) {
+      return;
+    }
+    if (conn.out_pos > (1u << 20)) {
       // Compact occasionally so the buffer does not grow monotonically.
       conn.outbuf.erase(conn.outbuf.begin(),
                         conn.outbuf.begin() +
                             static_cast<std::ptrdiff_t>(conn.out_pos));
       conn.out_pos = 0;
-      if (!conn.want_write) {
-        conn.want_write = true;
-        update_interest(conn);
-      }
-    } else if (!conn.want_write) {
+    }
+    if (!conn.want_write) {
       conn.want_write = true;
       update_interest(conn);
     }
@@ -790,15 +842,9 @@ struct IngestServer::Impl {
     c_protocol_errors->add(1);
     auto it = connections.find(fd);
     if (it != connections.end()) {
-      // Best effort: tell the peer why before dropping it.
-      const std::vector<std::uint8_t> bytes =
-          encode_frame(encode(ErrorMsg{.code = 2, .message = reason}));
-      const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
-      if (n > 0) {
-        c_bytes_out->add(static_cast<std::uint64_t>(n));
-        c_frames_out[static_cast<std::uint16_t>(FrameKind::kError)]->add(1);
-        h_frame_out->observe(static_cast<double>(bytes.size()));
-      }
+      // Tell the peer why; drop_connection() gets it out before close().
+      queue_frame(it->second, FrameKind::kError,
+                  ErrorMsg{.code = 2, .message = reason});
     }
     drop_connection(fd, reason);
   }
@@ -807,6 +853,9 @@ struct IngestServer::Impl {
     auto it = connections.find(fd);
     if (it == connections.end()) return;
     Connection& conn = it->second;
+    // Best effort: whatever is still queued (an error frame, acks of this
+    // wave) goes out before the close.
+    write_outbuf(conn);
     if (!conn.events.empty()) {
       c_drop_disconnect->add(conn.events.size());
     }

@@ -7,13 +7,22 @@
 //
 // Ticks are NOT fed one-by-one: each connection parks decoded ticks in a
 // bounded per-connection event queue, and every tick_interval the IO
-// thread drains ALL queues into one engine.feed() batch, then writes each
-// decision frame back to its connection. A connection whose queue fills
-// stops being read (its EPOLLIN is dropped) until the next tick drains it
-// — backpressure lands on the client's TCP window instead of server
-// memory. Protocol errors (bad CRC, hostile length, out-of-range enum)
-// get a best-effort kError frame and the connection dropped; the server
-// never crashes on hostile bytes.
+// thread drains ALL queues into one engine.feed() batch. A connection
+// whose queue fills stops being read (its EPOLLIN is dropped) until the
+// next tick drains it — backpressure lands on the client's TCP window
+// instead of server memory. Protocol errors (bad CRC, hostile length,
+// out-of-range enum, non-finite observation) get a best-effort kError
+// frame and the connection dropped; the server never crashes on hostile
+// bytes.
+//
+// Writes are coalesced. Every reply — acks, the batch's decisions and
+// rejects in batch order, then close-acks — is encoded straight into its
+// connection's output buffer, and each pass of the IO loop ends with ONE
+// flush point that sends each connection's queued bytes (one send() per
+// connection per batch unless the socket buffer fills; EPOLLOUT resumes
+// a partial write at a later flush point). A connection whose unsent
+// backlog still exceeds kMaxOutbufBytes after its flush is dropped as a
+// slow consumer.
 //
 // When the backend sheds load (serve::AdmissionController behind an
 // EngineGroup), refusals are NOT errors: a shed open or dropped tick is
@@ -30,10 +39,13 @@
 //   net_connections{state="open"}            gauge
 //   net_connections_total{state=...}         accepted|closed|rejected
 //   net_bytes_in_total / net_bytes_out_total
+//   net_send_calls_total                     send() syscalls
+//   net_slow_consumer_drops_total
 //   net_frames_total{dir,kind}               per-direction, per-frame-kind
-//   net_frames_dropped_total{reason}         queue_full|disconnect|closed
+//   net_frames_dropped_total{reason}         disconnect|closed_session
 //   net_protocol_errors_total
-//   net_ticks_total                          engine batches fed
+//   net_ticks_total                          observations served
+//   net_tick_batches_total                   engine batches fed
 //   net_backpressure_pauses_total
 #pragma once
 
@@ -52,6 +64,11 @@ class EngineGroup;
 }  // namespace aps::serve
 
 namespace aps::net {
+
+/// Unsent bytes a connection may still hold after a flush: a client
+/// reading slower than this backlog is dead weight, dropped as a slow
+/// consumer rather than buffered without bound.
+inline constexpr std::size_t kMaxOutbufBytes = 16u << 20;  // 16 MiB
 
 struct ServerConfig {
   std::string bind_address = "127.0.0.1";

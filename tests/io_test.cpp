@@ -2,15 +2,21 @@
 // bit-identical Decision stream, and malformed files must fail loudly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "io/artifact_io.h"
+#include "io/serial.h"
 #include "monitor/guideline.h"
 #include "obs/drift.h"
 #include "synthetic_util.h"
@@ -315,6 +321,163 @@ TEST_F(IoTest, WrongArtifactKindFails) {
     EXPECT_NE(what.find("kind mismatch"), std::string::npos);
     EXPECT_NE(what.find("mlp"), std::string::npos);
     EXPECT_NE(what.find("decision-tree"), std::string::npos);
+  }
+}
+
+// ---- BinaryWriter / BinaryReader in memory and file mode -----------------
+
+/// One of every encodable type, including edge values.
+void write_every_type(io::BinaryWriter& out) {
+  out.u8(0xAB);
+  out.u16(0xBEEF);
+  out.u32(0xDEADBEEFu);
+  out.u64(0x0123456789ABCDEFull);
+  out.i32(-42);
+  out.f64(-0.1);
+  out.f64(std::numeric_limits<double>::denorm_min());
+  out.str("wire");
+  out.str("");
+  out.vec_f64({1.5, -2.25, std::numeric_limits<double>::infinity()});
+  out.vec_f64({});
+  out.map_f64({{"", -0.0}, {"bg", 123.25}, {"isf", 1e-300}});
+}
+
+void expect_every_type(io::BinaryReader& in) {
+  EXPECT_EQ(in.u8(), 0xAB);
+  EXPECT_EQ(in.u16(), 0xBEEF);
+  EXPECT_EQ(in.u32(), 0xDEADBEEFu);
+  EXPECT_EQ(in.u64(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(in.i32(), -42);
+  EXPECT_EQ(in.f64(), -0.1);
+  EXPECT_EQ(in.f64(), std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(in.str(), "wire");
+  EXPECT_EQ(in.str(), "");
+  EXPECT_EQ(in.vec_f64(),
+            (std::vector<double>{1.5, -2.25,
+                                 std::numeric_limits<double>::infinity()}));
+  EXPECT_TRUE(in.vec_f64().empty());
+  const std::map<std::string, double> map = in.map_f64();
+  ASSERT_EQ(map.size(), 3u);
+  EXPECT_TRUE(std::signbit(map.at("")));
+  EXPECT_EQ(map.at("bg"), 123.25);
+  EXPECT_EQ(map.at("isf"), 1e-300);
+  EXPECT_EQ(in.remaining(), 0u);
+}
+
+/// what() of the IoError `fn` throws ("" when it does not throw).
+template <class Fn>
+std::string io_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const io::IoError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(IoTest, MemoryCodecRoundTripsEveryType) {
+  io::BinaryWriter out;
+  write_every_type(out);
+  const std::vector<std::uint8_t> bytes = out.take();
+
+  io::BinaryReader in(bytes, "frame payload");
+  expect_every_type(in);
+  EXPECT_EQ(in.consumed(), bytes.size());
+  EXPECT_EQ(io_error_of([&] { (void)in.u8(); }),
+            "truncated artifact: unexpected end of input in 'frame payload'");
+}
+
+TEST_F(IoTest, SinkWriterAppendsToTheCallersBuffer) {
+  io::BinaryWriter owned;
+  write_every_type(owned);
+  const std::vector<std::uint8_t> expected = owned.take();
+
+  std::vector<std::uint8_t> sink = {0x01, 0x02};
+  io::BinaryWriter out(sink);
+  write_every_type(out);
+  ASSERT_EQ(sink.size(), 2 + expected.size());
+  EXPECT_EQ(sink[0], 0x01);
+  EXPECT_EQ(sink[1], 0x02);
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), sink.begin() + 2));
+}
+
+TEST_F(IoTest, FileCodecWritesTheMemoryBytesAndKeepsItsErrors) {
+  const std::string file = path("codec.bin");
+  {
+    io::BinaryWriter out(file);
+    write_every_type(out);
+    out.finish();
+  }
+  io::BinaryWriter memory;
+  write_every_type(memory);
+  const std::vector<std::uint8_t> expected = memory.take();
+  std::ifstream raw(file, std::ios::binary);
+  const std::vector<std::uint8_t> on_disk(
+      (std::istreambuf_iterator<char>(raw)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(on_disk, expected);
+
+  io::BinaryReader in(file);
+  expect_every_type(in);
+  EXPECT_EQ(io_error_of([&] { (void)in.u64(); }),
+            "truncated artifact: unexpected end of file in '" + file + "'");
+
+  const std::string missing = path("no/such/dir/codec.bin");
+  EXPECT_EQ(io_error_of([&] { io::BinaryWriter w(missing); }),
+            "cannot open '" + missing + "' for writing");
+  EXPECT_EQ(io_error_of([&] { io::BinaryReader r(missing); }),
+            "cannot open '" + missing + "' for reading");
+}
+
+TEST_F(IoTest, FileWriteAndFlushFailuresThrow) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full here";
+  // Larger than any stream buffer, so the write itself reaches the device.
+  EXPECT_EQ(io_error_of([] {
+              io::BinaryWriter out("/dev/full");
+              out.vec_f64(std::vector<double>(1u << 16, 1.0));
+            }),
+            "write failure on '/dev/full'");
+  // Small enough to sit in the buffer until finish() flushes it.
+  EXPECT_EQ(io_error_of([] {
+              io::BinaryWriter out("/dev/full");
+              out.u8(1);
+              out.finish();
+            }),
+            "flush failure on '/dev/full'");
+}
+
+TEST_F(IoTest, Crc32MatchesTheBytewiseDefinition) {
+  // Check value of CRC-32/ISO-HDLC.
+  const std::string check = "123456789";
+  EXPECT_EQ(io::crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(io::crc32(nullptr, 0), 0u);
+
+  // Every length and start alignment around the 8-byte step, plain and
+  // chained, against the textbook bit-at-a-time definition.
+  const auto reference = [](const std::uint8_t* p, std::size_t n,
+                            std::uint32_t seed) {
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::vector<std::uint8_t> bytes(80);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t n = 0; start + n <= bytes.size(); ++n) {
+      const std::uint8_t* p = bytes.data() + start;
+      ASSERT_EQ(io::crc32(p, n), reference(p, n, 0))
+          << "start " << start << " length " << n;
+      const std::size_t half = n / 2;
+      ASSERT_EQ(io::crc32(p + half, n - half, io::crc32(p, half)),
+                reference(p, n, 0))
+          << "chained, start " << start << " length " << n;
+    }
   }
 }
 

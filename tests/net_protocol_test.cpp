@@ -6,11 +6,17 @@
 // CI job runs this with poisoned heap checks on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "net/listfile.h"
 #include "net/protocol.h"
 #include "synthetic_util.h"
 
@@ -391,6 +397,115 @@ TEST(NetProtocol, OversizedPayloadRefusesToEncode) {
   frame.kind = net::FrameKind::kError;
   frame.payload.assign(net::kMaxFramePayload + 1, 0);
   EXPECT_THROW((void)net::encode_frame(frame), net::ProtocolError);
+}
+
+// The in-place path (append_frame / next_view) is the same wire format as
+// the owned one (encode + encode_frame / next), byte for byte.
+TEST(NetProtocol, AppendFrameWritesTheBytesOfEncodeFrame) {
+  Rng rng(31);
+  const auto obs = testutil::synth_observation(rng, 50.0);
+  monitor::Decision decision;
+  decision.alarm = true;
+  decision.predicted = HazardType::kH2TooLittleInsulin;
+  decision.rule_id = 3;
+  std::vector<std::uint8_t> appended = {0xEE};  // frames go after this
+  std::vector<std::uint8_t> expected = {0xEE};
+  const auto both = [&](const auto& msg) {
+    const auto encoded = net::encode_frame(net::encode(msg));
+    EXPECT_EQ(net::append_frame(appended, msg), encoded.size());
+    expected.insert(expected.end(), encoded.begin(), encoded.end());
+  };
+  both(net::HelloMsg{.client_name = "c"});
+  both(net::HelloAckMsg{.generation = 4, .server_name = "s"});
+  both(net::OpenSessionMsg{.token = 1, .patient_id = "p", .monitor = "cawt"});
+  both(net::OpenAckMsg{.token = 1, .ok = false, .error = "no"});
+  both(net::TickMsg{.token = 1, .seq = 2, .obs = obs});
+  both(net::DecisionMsg{.token = 1, .seq = 2, .decision = decision});
+  both(net::CloseSessionMsg{.token = 1});
+  both(net::CloseAckMsg{.token = 1, .cycles = 2, .alarms = 1});
+  both(net::ErrorMsg{.code = 2, .message = "bad"});
+  both(net::RejectMsg{.token = 1, .seq = 2, .reason = 2, .message = "shed"});
+  EXPECT_EQ(appended, expected);
+
+  const auto frames = sample_frames();
+  net::FrameDecoder decoder("views");
+  decoder.feed(wire_bytes(frames));
+  for (const auto& frame : frames) {
+    const auto view = decoder.next_view();
+    ASSERT_TRUE(view.has_value());
+    EXPECT_EQ(view->kind, frame.kind);
+    EXPECT_TRUE(std::equal(view->payload.begin(), view->payload.end(),
+                           frame.payload.begin(), frame.payload.end()));
+  }
+  EXPECT_FALSE(decoder.next_view().has_value());
+}
+
+// A NaN or infinite observation field arrives in a frame whose CRCs are
+// valid (the sender computed them over the hostile value); the tick
+// decoder must refuse it, naming the field, for every field.
+TEST(NetProtocol, NonFiniteObservationFieldsAreRejected) {
+  const std::vector<std::pair<double monitor::Observation::*, const char*>>
+      fields = {{&monitor::Observation::time_min, "time_min"},
+                {&monitor::Observation::bg, "bg"},
+                {&monitor::Observation::bg_rate, "bg_rate"},
+                {&monitor::Observation::iob, "iob"},
+                {&monitor::Observation::iob_rate, "iob_rate"},
+                {&monitor::Observation::commanded_rate, "commanded_rate"},
+                {&monitor::Observation::previous_rate, "previous_rate"},
+                {&monitor::Observation::basal_rate, "basal_rate"},
+                {&monitor::Observation::isf, "isf"}};
+  const double hostile[] = {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()};
+  Rng rng(41);
+  const auto clean = testutil::synth_observation(rng, 10.0);
+  for (const auto& [field, name] : fields) {
+    for (const double value : hostile) {
+      auto obs = clean;
+      obs.*field = value;
+      net::FrameDecoder decoder("non-finite");
+      decoder.feed(net::encode_frame(
+          net::encode(net::TickMsg{.token = 1, .seq = 2, .obs = obs})));
+      const auto frame = decoder.next();  // CRCs are valid
+      ASSERT_TRUE(frame.has_value());
+      try {
+        (void)net::decode_tick(*frame);
+        ADD_FAILURE() << name << " = " << value << " was accepted";
+      } catch (const net::ProtocolError& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // The untouched observation still decodes.
+  EXPECT_NO_THROW((void)net::decode_tick(
+      net::encode(net::TickMsg{.token = 1, .seq = 2, .obs = clean})));
+}
+
+// Listfile tick records share read_observation: a recorded NaN is refused
+// on read, after the records before it come back intact.
+TEST(NetProtocol, ListfileTickRecordWithNanIsRejected) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "aps_nan_tick.listfile")
+          .string();
+  Rng rng(43);
+  const auto good = testutil::synth_observation(rng, 5.0);
+  auto bad = testutil::synth_observation(rng, 10.0);
+  bad.bg = std::numeric_limits<double>::quiet_NaN();
+  {
+    net::ListfileWriter writer(path);
+    writer.record_open({.key = 1, .patient_id = "p", .monitor = "cawt"});
+    writer.record_tick({.key = 1, .seq = 0, .obs = good});
+    writer.record_tick({.key = 1, .seq = 1, .obs = bad});
+    writer.finish();
+  }
+  net::ListfileReader reader(path);
+  ASSERT_EQ(reader.next()->kind, net::RecordKind::kOpen);
+  const auto tick = reader.next();
+  ASSERT_EQ(tick->kind, net::RecordKind::kTick);
+  EXPECT_EQ(tick->tick.obs.bg, good.bg);
+  EXPECT_THROW((void)reader.next(), net::ProtocolError);
+  std::remove(path.c_str());
 }
 
 }  // namespace

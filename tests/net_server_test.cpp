@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -617,6 +618,173 @@ TEST(NetServer, SheddingServerSendsTypedRejectsAndClientsBackOff) {
   EXPECT_EQ(replayed.mismatches, 0u);
   EXPECT_EQ(replayed.unmatched, 0u);
   std::remove(listfile.c_str());
+}
+
+// Replies are coalesced: a burst of ticks from one connection comes back
+// as a handful of send() calls (one per flush point), not one per frame,
+// and per-connection order is exactly the batch order — every decision
+// once, in seq order, then the close-ack queued behind them.
+TEST(NetServer, BurstRepliesAreCoalescedAndOrdered) {
+  const auto bundle = rule_bundle();
+  obs::Registry registry;
+  serve::MonitorEngine engine({.threads = 1, .registry = &registry});
+  engine.register_bundle(bundle);
+  net::ServerConfig config;
+  config.registry = &registry;
+  config.max_queued_events = 1024;  // the whole burst + close fit one batch
+  net::IngestServer server(engine, config);
+  server.start();
+
+  constexpr std::size_t kBurst = 256;
+  net::BlockingClient client("127.0.0.1", server.port(), "burst");
+  client.open_session(5, "burst/session", "cawt", 2);
+  const auto stream = testutil::synth_stream(kBurst, 777);
+  std::vector<std::uint8_t> burst;
+  for (std::size_t k = 0; k < kBurst; ++k) {
+    (void)net::append_frame(
+        burst, net::TickMsg{.token = 5, .seq = k, .obs = stream[k]});
+  }
+  (void)net::append_frame(burst, net::CloseSessionMsg{.token = 5});
+  client.send_raw(burst.data(), burst.size());
+
+  auto reference = core::factory_from_bundle(bundle, "cawt")(2);
+  for (std::size_t k = 0; k < kBurst; ++k) {
+    const net::Frame frame = client.recv_frame();
+    ASSERT_EQ(frame.kind, net::FrameKind::kDecision) << "frame " << k;
+    const net::DecisionMsg msg = net::decode_decision(frame);
+    ASSERT_EQ(msg.seq, k) << "decisions out of seq order";
+    EXPECT_TRUE(testutil::decisions_equal(msg.decision,
+                                          reference->observe(stream[k])));
+  }
+  const net::Frame last = client.recv_frame();
+  ASSERT_EQ(last.kind, net::FrameKind::kCloseAck)
+      << "close-ack must follow the decisions queued ahead of it";
+  EXPECT_EQ(net::decode_close_ack(last).cycles, kBurst);
+  server.stop();
+
+  const std::uint64_t sends = registry.counter_value("net_send_calls_total");
+  const std::uint64_t batches =
+      registry.counter_value("net_tick_batches_total");
+  EXPECT_EQ(registry.counter_value("net_frames_total",
+                                   {{"dir", "out"}, {"kind", "decision"}}),
+            kBurst);
+  // Flush points: the hello-ack, the open-ack, and each batch (the
+  // close-ack rides with the batch it was queued in, or one more).
+  EXPECT_GE(batches, 1u);
+  EXPECT_LE(sends, 2 + batches + 1);
+  EXPECT_LT(sends, kBurst / 8) << "send() calls scale with frames";
+}
+
+// A client that keeps sending ticks but never reads its decisions is
+// dropped once its unsent backlog passes net::kMaxOutbufBytes, while a
+// well-behaved client on the same server keeps getting correct decisions
+// throughout.
+TEST(NetServer, SlowConsumerIsDroppedAndOthersKeepServing) {
+  const auto bundle = rule_bundle();
+  obs::Registry registry;
+  serve::MonitorEngine engine({.threads = 1, .registry = &registry});
+  engine.register_bundle(bundle);
+  net::ServerConfig config;
+  config.registry = &registry;
+  net::IngestServer server(engine, config);
+  server.start();
+
+  std::atomic<bool> blasting{true};
+  std::string survivor_failure;
+  std::thread survivor([&] {
+    try {
+      net::BlockingClient client("127.0.0.1", server.port(), "survivor");
+      const auto stream = testutil::synth_stream(kSteps, 4242);
+      // Whole sessions back to back until the slow client is gone, then
+      // one more.
+      for (std::uint64_t token = 0;; ++token) {
+        const bool last = !blasting.load();
+        client.open_session(token, "survivor/" + std::to_string(token),
+                            "guideline", 0);
+        auto reference = core::factory_from_bundle(bundle, "guideline")(0);
+        for (std::size_t k = 0; k < stream.size(); ++k) {
+          client.send_tick(token, k, stream[k]);
+          const net::DecisionMsg msg = client.recv_decision();
+          if (msg.seq != k ||
+              !testutil::decisions_equal(msg.decision,
+                                         reference->observe(stream[k]))) {
+            survivor_failure = "wrong decision at step " + std::to_string(k);
+            return;
+          }
+        }
+        (void)client.close_session(token);
+        if (last) break;
+      }
+    } catch (const std::exception& e) {
+      survivor_failure = e.what();
+    }
+  });
+
+  // The slow client: ticks in 256-frame bursts, never a single read,
+  // until the server hangs up on it.
+  net::BlockingClient slow("127.0.0.1", server.port(), "slow");
+  slow.open_session(9, "slow/session", "cawt", 1);
+  const auto stream = testutil::synth_stream(64, 99);
+  std::vector<std::uint8_t> burst;
+  std::uint64_t seq = 0;
+  bool dropped = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::minutes(5);
+  while (!dropped && std::chrono::steady_clock::now() < deadline) {
+    burst.clear();
+    for (int i = 0; i < 256; ++i, ++seq) {
+      (void)net::append_frame(
+          burst, net::TickMsg{.token = 9, .seq = seq, .obs = stream[seq % 64]});
+    }
+    try {
+      slow.send_raw(burst.data(), burst.size());
+    } catch (const io::IoError&) {
+      dropped = true;
+    }
+  }
+  blasting.store(false);
+  survivor.join();
+
+  ASSERT_TRUE(dropped) << "never dropped after " << seq << " ticks";
+  // Not before its decisions could have filled the backlog bound.
+  const std::size_t decision_bytes =
+      net::encode_frame(net::encode(net::DecisionMsg{})).size();
+  EXPECT_GT(seq * decision_bytes, net::kMaxOutbufBytes);
+  EXPECT_EQ(survivor_failure, "");
+  EXPECT_EQ(registry.counter_value("net_slow_consumer_drops_total"), 1u);
+  EXPECT_EQ(registry.counter_value("net_protocol_errors_total"), 0u);
+  server.stop();
+  EXPECT_EQ(engine.session_count(), 0u);
+}
+
+// Wire ticks with a NaN observation are a protocol error: the client gets
+// a kError frame and is dropped, its sessions closed, the error counted.
+TEST(NetServer, NonFiniteTickIsAProtocolError) {
+  const auto bundle = rule_bundle();
+  obs::Registry registry;
+  serve::MonitorEngine engine({.threads = 1, .registry = &registry});
+  engine.register_bundle(bundle);
+  net::ServerConfig config;
+  config.registry = &registry;
+  net::IngestServer server(engine, config);
+  server.start();
+
+  net::BlockingClient client("127.0.0.1", server.port(), "nan");
+  client.open_session(1, "nan/session", "cawt", 0);
+  auto obs = testutil::synth_stream(1, 5)[0];
+  obs.iob = std::numeric_limits<double>::quiet_NaN();
+  client.send_tick(1, 0, obs);
+  try {
+    (void)client.recv_decision();
+    FAIL() << "a NaN tick was served";
+  } catch (const net::ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
+        << e.what();
+  }
+  server.stop();
+  EXPECT_EQ(registry.counter_value("net_protocol_errors_total"), 1u);
+  EXPECT_EQ(registry.counter_value("net_ticks_total"), 0u);
+  EXPECT_EQ(engine.session_count(), 0u);
 }
 
 }  // namespace
